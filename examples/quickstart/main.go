@@ -66,7 +66,7 @@ func main() {
 			}()
 			for i := uint64(0); i < perWorker; i++ {
 				key := uint64(tid)*1_000_000 + i
-				p.Execute(t, tid, uc.Insert(key, key * 2))
+				p.Execute(t, tid, uc.Insert(key, key*2))
 				// Read-only operations take the local replica's reader lock
 				// and never touch the log.
 				if got := p.Execute(t, tid, uc.Get(key)); got != key*2 {

@@ -100,7 +100,7 @@ func TestVolatileSingleWorkerSequential(t *testing.T) {
 	w := newWorld(t, hashCfg(Volatile, 1, 256, 0), nvm.Config{}, 1)
 	w.runWorkers(1, 0, func(th *sim.Thread, tid int) {
 		for k := uint64(0); k < 50; k++ {
-			if got := w.p.Execute(th, tid, uc.Insert(k, k * 2)); got != 1 {
+			if got := w.p.Execute(th, tid, uc.Insert(k, k*2)); got != 1 {
 				t.Errorf("insert(%d) = %d, want 1", k, got)
 			}
 		}
@@ -124,7 +124,7 @@ func TestVolatileConcurrentDistinctKeys(t *testing.T) {
 	w.runWorkers(workers, 0, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < perWorker; i++ {
 			k := uint64(tid)*1000 + i
-			if got := w.p.Execute(th, tid, uc.Insert(k, k + 7)); got != 1 {
+			if got := w.p.Execute(th, tid, uc.Insert(k, k+7)); got != 1 {
 				t.Errorf("worker %d insert(%d) = %d", tid, k, got)
 			}
 		}

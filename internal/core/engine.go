@@ -106,11 +106,11 @@ type pReplica struct {
 
 // PREP is one instance of the PREP-UC universal construction.
 type PREP struct {
-	cfg   Config
-	sys   *nvm.System
-	log   *oplog.Log
-	beta  uint64
-	nodes int
+	cfg    Config
+	sys    *nvm.System
+	log    *oplog.Log
+	beta   uint64
+	nodes  int
 	reps   []*replica
 	preps  []*pReplica
 	meta   *nvm.Memory

@@ -87,10 +87,10 @@ const appliedRootSlot = 1
 
 // CX is one CX-PUC instance.
 type CX struct {
-	cfg   Config
-	sys   *nvm.System
-	queue *nvm.Memory // volatile op queue
-	ctrl  *nvm.Memory // volatile control (queue tail)
+	cfg    Config
+	sys    *nvm.System
+	queue  *nvm.Memory // volatile op queue
+	ctrl   *nvm.Memory // volatile control (queue tail)
 	meta   *nvm.Memory // NVM: published (index, replica) word
 	commit uc.CommitCell
 	reps   []*cxReplica

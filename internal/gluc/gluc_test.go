@@ -27,7 +27,7 @@ func TestSequential(t *testing.T) {
 	sys.SetScheduler(sch)
 	sch.Spawn("w", 0, 0, func(th *sim.Thread) {
 		for k := uint64(0); k < 40; k++ {
-			if got := g.Execute(th, 0, uc.Insert(k, k + 1)); got != 1 {
+			if got := g.Execute(th, 0, uc.Insert(k, k+1)); got != 1 {
 				t.Errorf("insert = %d", got)
 			}
 		}

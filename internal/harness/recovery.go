@@ -105,7 +105,7 @@ func prepRecoveryPoint(sc Scale, seed int64, eps uint64) (RecoveryPoint, error) 
 				}
 			}()
 			for i := uint64(0); i < updates/uint64(workers); i++ {
-				p.Execute(t, tid, uc.Insert(uint64(tid)<<32 | i, i))
+				p.Execute(t, tid, uc.Insert(uint64(tid)<<32|i, i))
 			}
 		})
 	}
@@ -155,7 +155,7 @@ func onllRecoveryPoint(sc Scale, seed int64, hist uint64) (RecoveryPoint, error)
 		tid := tid
 		runSch.Spawn("w", topoSmall.NodeOf(tid), 0, func(t *sim.Thread) {
 			for i := uint64(0); i < hist/uint64(workers); i++ {
-				o.Execute(t, tid, uc.Insert(uint64(tid)<<32 | i, i))
+				o.Execute(t, tid, uc.Insert(uint64(tid)<<32|i, i))
 			}
 		})
 	}

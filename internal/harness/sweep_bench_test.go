@@ -52,7 +52,7 @@ func BenchmarkNestedCrashSweep(b *testing.B) {
 		tid := tid
 		runSch.Spawn("w", 0, 0, func(t *sim.Thread) {
 			for i := uint64(0); i < updates; i++ {
-				p.Execute(t, tid, uc.Insert(uint64(tid)<<32 | i, i))
+				p.Execute(t, tid, uc.Insert(uint64(tid)<<32|i, i))
 			}
 		})
 	}

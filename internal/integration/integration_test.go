@@ -207,7 +207,7 @@ func TestCommutingWorkloadConverges(t *testing.T) {
 				}()
 				for i := uint64(0); i < per; i++ {
 					k := uint64(tid)*1000 + i
-					b.s.Execute(th, tid, uc.Insert(k, k * 7))
+					b.s.Execute(th, tid, uc.Insert(k, k*7))
 				}
 			})
 		}

@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"prepuc/internal/sim"
@@ -512,4 +513,60 @@ func TestCASContention(t *testing.T) {
 	if got := m.data.load(0); got != n*per {
 		t.Errorf("counter = %d, want %d", got, n*per)
 	}
+}
+
+// fnvFingerprint is PersistedFingerprint written against hash/fnv: the
+// reference the inlined FNV-1a fold must match bit for bit.
+func fnvFingerprint(s *System) uint64 {
+	h := fnv.New64a()
+	word := func(v uint64) {
+		var b [8]byte
+		for i := range b {
+			b[i] = byte(v >> (56 - 8*i))
+		}
+		h.Write(b[:])
+	}
+	for _, m := range s.order {
+		if m.kind != NVM {
+			continue
+		}
+		h.Write([]byte(m.name))
+		h.Write([]byte{0})
+		word(m.words)
+		for base := uint64(0); base < m.words; base += WordsPerLine {
+			for _, v := range m.persisted.line(base, WordsPerLine) {
+				word(v)
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+func TestPersistedFingerprintMatchesFNV(t *testing.T) {
+	runOne(t, Config{}, 0, func(th *sim.Thread, sys *System) {
+		check := func(when string) {
+			if got, want := sys.PersistedFingerprint(), fnvFingerprint(sys); got != want {
+				t.Errorf("%s: fingerprint %#x, hash/fnv reference %#x", when, got, want)
+			}
+		}
+		check("no memories")
+		var nvms []*Memory
+		for i, sz := range []uint64{1, 8, 13, 64, 300} {
+			name := string(rune('a'+i)) + "-region"
+			if i%2 == 1 { // volatile memories interleaved: skipped by the walk
+				sys.NewMemory(name+"-scratch", Volatile, 0, sz)
+			}
+			nvms = append(nvms, sys.NewMemory(name, NVM, 0, sz))
+		}
+		check("zeroed memories")
+		v := uint64(0x0123456789abcdef)
+		for _, m := range nvms {
+			for off := uint64(0); off < m.Words(); off += 3 {
+				v = v*6364136223846793005 + 1442695040888963407
+				m.Store(th, off, v)
+			}
+		}
+		sys.WBINVD(th, nvms...)
+		check("persisted stores")
+	})
 }

@@ -13,11 +13,7 @@ package nvm
 // (two crash points with the same set of executed persist effects
 // materialize identically).
 
-import (
-	"hash/fnv"
-
-	"prepuc/internal/sim"
-)
+import "prepuc/internal/sim"
 
 // AccessKind classifies one announced memory-system operation.
 type AccessKind uint8
@@ -162,25 +158,20 @@ func (s *System) PendingLines() int {
 // across a machine and its clones and recoveries. The walk is O(words) —
 // meant for the explorer's small machines, not production-sized heaps.
 func (s *System) PersistedFingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		buf[0] = byte(v >> 56)
-		buf[1] = byte(v >> 48)
-		buf[2] = byte(v >> 40)
-		buf[3] = byte(v >> 32)
-		buf[4] = byte(v >> 24)
-		buf[5] = byte(v >> 16)
-		buf[6] = byte(v >> 8)
-		buf[7] = byte(v)
-		h.Write(buf[:])
+	h := uint64(fnvOffset64)
+	word := func(v uint64) { // the 8 bytes of v, big-endian
+		for sh := 56; sh >= 0; sh -= 8 {
+			h = (h ^ (v >> sh & 0xff)) * fnvPrime64
+		}
 	}
 	for _, m := range s.order {
 		if m.kind != NVM {
 			continue
 		}
-		h.Write([]byte(m.name))
-		h.Write([]byte{0})
+		for i := 0; i < len(m.name); i++ {
+			h = (h ^ uint64(m.name[i])) * fnvPrime64
+		}
+		h *= fnvPrime64 // the name's 0 terminator
 		word(m.words)
 		for base := uint64(0); base < m.words; base += WordsPerLine {
 			for _, v := range m.persisted.line(base, WordsPerLine) {
@@ -188,5 +179,11 @@ func (s *System) PersistedFingerprint() uint64 {
 			}
 		}
 	}
-	return h.Sum64()
+	return h
 }
+
+// FNV-1a 64-bit parameters (the same as hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)

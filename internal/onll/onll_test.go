@@ -63,7 +63,7 @@ func TestSequentialSemantics(t *testing.T) {
 	w := build(t, testCfg(1), nvm.Config{}, 1)
 	w.run(1, 0, 100, func(th *sim.Thread, tid int) {
 		for k := uint64(0); k < 40; k++ {
-			if got := w.o.Execute(th, tid, uc.Insert(k, k * 2)); got != 1 {
+			if got := w.o.Execute(th, tid, uc.Insert(k, k*2)); got != 1 {
 				t.Errorf("insert = %d", got)
 			}
 		}
@@ -88,7 +88,7 @@ func TestReadsDoNotFlushOrFence(t *testing.T) {
 	before := w.sys.Fences()
 	w.run(1, 0, 201, func(th *sim.Thread, tid int) {
 		for k := uint64(0); k < 100; k++ {
-			w.o.Execute(th, tid, uc.Get(k % 20))
+			w.o.Execute(th, tid, uc.Get(k%20))
 		}
 	})
 	if got := w.sys.Fences(); got != before {
@@ -207,7 +207,7 @@ func TestRecoveredInstanceUsableAndRecrashable(t *testing.T) {
 	recSys.SetScheduler(sch)
 	sch.Spawn("w", 0, 0, func(th *sim.Thread) {
 		for i := uint64(0); i < 10; i++ {
-			rec.Execute(th, 0, uc.Insert(1<<40 | i, i))
+			rec.Execute(th, 0, uc.Insert(1<<40|i, i))
 		}
 	})
 	sch.Run()
@@ -226,7 +226,7 @@ func TestRecoveredInstanceUsableAndRecrashable(t *testing.T) {
 	recSys2.SetScheduler(chk)
 	chk.Spawn("chk", 0, 0, func(th *sim.Thread) {
 		for i := uint64(0); i < 10; i++ {
-			if got := rec2.Execute(th, 0, uc.Get(1<<40 | i)); got != i {
+			if got := rec2.Execute(th, 0, uc.Get(1<<40|i)); got != i {
 				t.Errorf("second recovery lost op %d", i)
 			}
 		}

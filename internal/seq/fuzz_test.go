@@ -47,7 +47,7 @@ func decodeSetOps(data []byte) []uc.Op {
 		key := uint64(kb % 24)
 		switch sel % 8 {
 		case 0, 1, 2:
-			ops = append(ops, uc.Insert(key, uint64(i+1)*131 + uint64(sel)))
+			ops = append(ops, uc.Insert(key, uint64(i+1)*131+uint64(sel)))
 		case 3, 4:
 			ops = append(ops, uc.Delete(key))
 		case 5:

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package sim provides a deterministic virtual-time scheduler for simulated
 // threads.
 //
@@ -24,6 +26,10 @@
 //
 // # Concurrency contract
 //
+// Every simulated thread is an iter.Pull coroutine and Run is the dispatcher:
+// a handoff is two direct coroutine switches on one OS thread, never a trip
+// through the Go runtime's scheduler.
+//
 // Spawn may be called from the host goroutine before Run, or from a running
 // simulated thread; it must not be called from a foreign goroutine while the
 // scheduler is dispatching. Control methods (CrashAtEvent, CrashAfter,
@@ -32,14 +38,20 @@
 // inside a running simulated thread. Under that contract every piece of
 // scheduler state is only ever touched by the baton holder (or by the host
 // before the first baton is granted / after the last one is returned, both
-// ordered by channel operations), so Step needs no locks or atomics: its
+// ordered by the coroutine switches), so Step needs no locks or atomics: its
 // run-ahead fast path is a clock add, a counter increment and one heap-top
 // comparison. See DESIGN.md ("Run-ahead scheduling") for the
 // schedule-preservation argument.
+//
+// A non-crash panic in a simulated thread is re-panicked with the thread's
+// name and surfaces from Run, where the caller may recover it. A thread must
+// not call Step while holding runtime.LockOSThread: the Go runtime aborts the
+// process on a coroutine switch made under a thread lock.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 )
 
@@ -55,26 +67,17 @@ func Crashed(v any) bool {
 	return ok
 }
 
-// State of a simulated thread.
-type state int
-
-const (
-	ready   state = iota // parked, waiting for its turn
-	running              // the single active thread
-	done                 // exited
-)
-
 // Thread is a simulated hardware thread. All methods must be called from the
-// goroutine that was handed the Thread by Spawn.
+// coroutine that was handed the Thread by Spawn.
 type Thread struct {
-	id    int
-	name  string
-	node  int // NUMA node the thread is pinned to
-	clock uint64
-	state state
-	sch   *Scheduler
-	wake  chan struct{}
-	rng   *rand.Rand
+	id     int
+	name   string
+	node   int // NUMA node the thread is pinned to
+	clock  uint64
+	sch    *Scheduler
+	resume func() (struct{}, bool) // the coroutine's iter.Pull next
+	yield  func(struct{}) bool     // suspends the coroutine back to Run
+	rng    *rand.Rand
 }
 
 // ID returns the thread's scheduler-wide identifier.
@@ -89,8 +92,14 @@ func (t *Thread) Node() int { return t.node }
 // Clock returns the thread's virtual time in nanoseconds.
 func (t *Thread) Clock() uint64 { return t.clock }
 
-// Rand returns the thread's private deterministic random source.
-func (t *Thread) Rand() *rand.Rand { return t.rng }
+// Rand returns the thread's private deterministic random source, built on
+// first use from the scheduler seed and the thread id.
+func (t *Thread) Rand() *rand.Rand {
+	if t.rng == nil {
+		t.rng = rand.New(rand.NewSource(t.sch.seed + int64(t.id)*int64(0x9E3779B97F4A7C15&0x7FFFFFFFFFFFFFFF)))
+	}
+	return t.rng
+}
 
 // Scheduler returns the owning scheduler.
 func (t *Thread) Scheduler() *Scheduler { return t.sch }
@@ -109,7 +118,7 @@ type Scheduler struct {
 	nextID   int
 	heap     threadHeap
 	live     int
-	allDone  chan struct{}
+	cur      *Thread // the baton holder Run resumes next; nil once all exited
 	started  bool
 	runahead bool
 
@@ -130,7 +139,6 @@ type Scheduler struct {
 func New(seed int64) *Scheduler {
 	return &Scheduler{
 		seed:     seed,
-		allDone:  make(chan struct{}),
 		runahead: DefaultRunAhead,
 		heap:     threadHeap{ts: make([]*Thread, 0, 16)},
 	}
@@ -281,8 +289,8 @@ func (s *Scheduler) CrashAfter(n uint64) (prev uint64) {
 func (s *Scheduler) Frozen() bool { return s.frozen }
 
 // Spawn registers a simulated thread pinned to the given NUMA node and
-// starting at virtual time startClock. The function fn runs on its own
-// goroutine but only while the scheduler grants it the baton. Spawn may be
+// starting at virtual time startClock. The function fn runs as a coroutine,
+// resumed only while the scheduler grants it the baton. Spawn may be
 // called before Run or from inside a running simulated thread (in the latter
 // case the new thread inherits the spawner's current clock if startClock is
 // zero... callers pass the desired clock explicitly).
@@ -292,33 +300,31 @@ func (s *Scheduler) Spawn(name string, node int, startClock uint64, fn func(*Thr
 		name:  name,
 		node:  node,
 		clock: startClock,
-		state: ready,
 		sch:   s,
-		wake:  make(chan struct{}, 1),
 	}
-	t.rng = rand.New(rand.NewSource(s.seed + int64(t.id)*int64(0x9E3779B97F4A7C15&0x7FFFFFFFFFFFFFFF)))
 	s.nextID++
 	s.live++
 	s.heap.push(t)
 
-	go func() {
-		<-t.wake // wait until scheduled for the first time
+	t.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
 		defer func() {
 			if r := recover(); r != nil && !Crashed(r) {
 				// Re-panic real bugs with context; crashes exit quietly.
 				panic(fmt.Sprintf("sim thread %q: %v", t.name, r))
 			}
-			s.exit(t)
+			s.exit()
 		}()
 		if s.frozen {
 			panic(Crash{})
 		}
 		fn(t)
-	}()
+	})
 	return t
 }
 
-// Run starts dispatching and blocks until every spawned thread has exited.
+// Run dispatches until every spawned thread has exited. A non-crash panic in
+// a simulated thread propagates out of Run.
 func (s *Scheduler) Run() {
 	if s.started {
 		panic("sim: Run called twice")
@@ -333,9 +339,10 @@ func (s *Scheduler) Run() {
 	} else {
 		next = s.heap.popMin()
 	}
-	next.state = running
-	next.wake <- struct{}{}
-	<-s.allDone
+	s.cur = next
+	for s.cur != nil {
+		s.cur.resume()
+	}
 }
 
 // Step advances the calling thread's virtual clock by cost nanoseconds and
@@ -344,7 +351,7 @@ func (s *Scheduler) Run() {
 //
 // Run-ahead fast path: when no ready thread has a strictly smaller clock than
 // the caller's advanced clock — or an equal clock with a smaller id — the
-// caller keeps the baton and returns without touching the heap or a channel.
+// caller keeps the baton and returns with no heap operation or switch.
 // A handoff swaps the caller with the heap root in a single sift-down
 // (replaceMin); because (clock, id) keys are unique, the minimum popped from
 // any valid heap arrangement is the same thread, so the schedule is
@@ -370,8 +377,6 @@ func (t *Thread) Step(cost uint64) {
 			return
 		}
 		s.heap.push(t)
-		next.state = running
-		t.state = ready
 		s.park(t, next)
 		return
 	}
@@ -380,8 +385,6 @@ func (t *Thread) Step(cost uint64) {
 			return // still the minimum: run ahead, no heap op, no handoff
 		}
 		next := s.heap.replaceMin(t)
-		next.state = running
-		t.state = ready
 		s.park(t, next)
 		return
 	}
@@ -391,27 +394,24 @@ func (t *Thread) Step(cost uint64) {
 	if next == t {
 		return
 	}
-	next.state = running
-	t.state = ready
 	s.park(t, next)
 }
 
-// park wakes next and blocks until the baton returns to t, re-raising a
-// crash that happened while t was parked.
+// park passes the baton to next and suspends t until Run resumes it,
+// re-raising a crash that happened while t was parked.
 func (s *Scheduler) park(t, next *Thread) {
-	next.wake <- struct{}{}
-	<-t.wake
+	s.cur = next
+	t.yield(struct{}{})
 	if s.frozen {
 		panic(Crash{})
 	}
 }
 
 // exit removes the thread from the scheduler and hands the baton onward.
-func (s *Scheduler) exit(t *Thread) {
-	t.state = done
+func (s *Scheduler) exit() {
 	s.live--
 	if s.live == 0 {
-		close(s.allDone)
+		s.cur = nil
 		return
 	}
 	if len(s.heap.ts) == 0 {
@@ -426,8 +426,7 @@ func (s *Scheduler) exit(t *Thread) {
 	} else {
 		next = s.heap.popMin()
 	}
-	next.state = running
-	next.wake <- struct{}{}
+	s.cur = next
 }
 
 // CrashNow freezes the system from within a simulated thread. The calling

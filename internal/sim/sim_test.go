@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -353,5 +355,232 @@ func TestCrashAfterZeroDisarms(t *testing.T) {
 	s.Run()
 	if s.Frozen() || !done {
 		t.Fatal("CrashAfter(0) did not disarm the pending crash")
+	}
+}
+
+// TestCrashArmReturnsPrevious pins the re-arm contract the explorer relies
+// on: arming is last-wins, and both arming calls return the previously armed
+// absolute event index (0 = none) so a harness stacking adversaries can see
+// what it is replacing.
+func TestCrashArmReturnsPrevious(t *testing.T) {
+	s := New(1)
+	if prev := s.CrashAtEvent(10); prev != 0 {
+		t.Fatalf("first arm returned prev=%d, want 0", prev)
+	}
+	if prev := s.CrashAtEvent(5); prev != 10 {
+		t.Fatalf("re-arm returned prev=%d, want 10", prev)
+	}
+	// CrashAfter is relative to the current event counter (0 here) but
+	// returns the previous arm as an absolute index.
+	if prev := s.CrashAfter(3); prev != 5 {
+		t.Fatalf("CrashAfter returned prev=%d, want 5", prev)
+	}
+	if prev := s.CrashAfter(0); prev != 3 {
+		t.Fatalf("disarming CrashAfter returned prev=%d, want 3", prev)
+	}
+	if prev := s.CrashAtEvent(7); prev != 0 {
+		t.Fatalf("arm after disarm returned prev=%d, want 0", prev)
+	}
+	// Last-wins: the surviving arm is the latest one.
+	s.CrashAtEvent(2)
+	done := 0
+	s.Spawn("w", 0, 0, func(th *Thread) {
+		for i := 0; i < 10; i++ {
+			th.Step(1)
+			done++
+		}
+	})
+	s.Run()
+	if !s.Frozen() || done != 1 {
+		t.Fatalf("last-wins arm: frozen=%v done=%d, want frozen after event 2 (1 completed step)", s.Frozen(), done)
+	}
+}
+
+// CrashAfter mid-run must report the pending arm as an absolute index.
+func TestCrashAfterMidRunReturnsAbsolutePrev(t *testing.T) {
+	s := New(1)
+	s.Spawn("w", 0, 0, func(th *Thread) {
+		for i := 0; i < 4; i++ {
+			th.Step(1)
+		}
+		s.CrashAtEvent(100)
+		if prev := s.CrashAfter(50); prev != 100 {
+			t.Errorf("CrashAfter returned prev=%d, want 100", prev)
+		}
+		if s.Events() != 4 {
+			t.Errorf("events=%d, want 4", s.Events())
+		}
+	})
+	s.Run()
+}
+
+type chooserFunc func(caller int, cands []Candidate) int
+
+func (f chooserFunc) Choose(caller int, cands []Candidate) int { return f(caller, cands) }
+
+// TestChooserForcesSchedule: a chooser that always picks the highest-id
+// candidate runs the threads in reverse spawn order, against the built-in
+// rule's interleaving.
+func TestChooserForcesSchedule(t *testing.T) {
+	var order []int
+	s := New(1)
+	s.SetChooser(chooserFunc(func(caller int, cands []Candidate) int {
+		for i := 1; i < len(cands); i++ {
+			if cands[i].ID < cands[i-1].ID {
+				t.Errorf("candidates not in ascending id order: %v", cands)
+			}
+		}
+		return len(cands) - 1
+	}))
+	for id := 0; id < 3; id++ {
+		id := id
+		s.Spawn("w", 0, 0, func(th *Thread) {
+			for i := 0; i < 3; i++ {
+				th.Step(1)
+				order = append(order, id)
+			}
+		})
+	}
+	s.Run()
+	want := []int{2, 2, 2, 1, 1, 1, 0, 0, 0}
+	if len(order) != len(want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order %v, want %v", order, want)
+		}
+	}
+}
+
+// TestChooserMinClockMatchesDefault: a chooser that always answers with
+// MinClock reproduces the built-in schedule exactly.
+func TestChooserMinClockMatchesDefault(t *testing.T) {
+	run := func(install bool) []int {
+		var order []int
+		s := New(7)
+		if install {
+			s.SetChooser(chooserFunc(func(caller int, cands []Candidate) int {
+				return MinClock(cands)
+			}))
+		}
+		for id := 0; id < 4; id++ {
+			id := id
+			s.Spawn("w", 0, 0, func(th *Thread) {
+				for i := 0; i < 5; i++ {
+					th.Step(uint64(1 + (id+i)%3))
+					order = append(order, id)
+				}
+			})
+		}
+		s.Run()
+		return order
+	}
+	def, chosen := run(false), run(true)
+	if len(def) != len(chosen) {
+		t.Fatalf("lengths differ: %d vs %d", len(def), len(chosen))
+	}
+	for i := range def {
+		if def[i] != chosen[i] {
+			t.Fatalf("schedules diverge at %d: default %v, chooser %v", i, def, chosen)
+		}
+	}
+}
+
+// TestRandLazyMatchesEagerSeeding pins each thread's random stream to its
+// seed formula (scheduler seed + id * 0x9E37...), although the source is only
+// built on the first Rand call: for threads spawned before Run and threads
+// spawned by a running thread alike.
+func TestRandLazyMatchesEagerSeeding(t *testing.T) {
+	const seed = 42
+	want := func(id int) *rand.Rand {
+		return rand.New(rand.NewSource(seed + int64(id)*int64(0x9E3779B97F4A7C15&0x7FFFFFFFFFFFFFFF)))
+	}
+	check := func(th *Thread) {
+		ref := want(th.ID())
+		for i := 0; i < 1000; i++ {
+			if got, exp := th.Rand().Int63(), ref.Int63(); got != exp {
+				t.Errorf("thread %d draw %d = %d, want %d", th.ID(), i, got, exp)
+				return
+			}
+		}
+	}
+	s := New(seed)
+	checked := 0
+	for w := 0; w < 3; w++ {
+		s.Spawn("w", 0, 0, func(th *Thread) {
+			th.Step(1)
+			check(th)
+			checked++
+			if th.ID() == 1 {
+				for c := 0; c < 2; c++ {
+					s.Spawn("child", 0, th.Clock(), func(ch *Thread) {
+						ch.Step(1)
+						check(ch)
+						checked++
+					})
+				}
+			}
+		})
+	}
+	s.Run()
+	if checked != 5 {
+		t.Fatalf("checked %d threads, want 5", checked)
+	}
+}
+
+// runPanic runs s and returns the value Run panicked with (nil if none).
+func runPanic(s *Scheduler) (r any) {
+	defer func() { r = recover() }()
+	s.Run()
+	return nil
+}
+
+// TestThreadPanicSurfacesFromRun: a real bug inside a simulated thread comes
+// out of Run on the caller's goroutine, recoverable, with the thread's name.
+func TestThreadPanicSurfacesFromRun(t *testing.T) {
+	s := New(1)
+	s.Spawn("bystander", 0, 0, func(th *Thread) {
+		for i := 0; i < 100; i++ {
+			th.Step(1)
+		}
+	})
+	s.Spawn("buggy", 0, 0, func(th *Thread) {
+		th.Step(3)
+		panic("boom")
+	})
+	r := runPanic(s)
+	msg, ok := r.(string)
+	if !ok || !strings.Contains(msg, `sim thread "buggy"`) || !strings.Contains(msg, "boom") {
+		t.Fatalf("Run panicked with %v, want the thread's re-panic carrying its name and message", r)
+	}
+}
+
+// TestChooserOutOfRangeSurfacesFromRun: a chooser answering with an index
+// outside the candidate slice is a bug, reported by a recoverable panic from
+// Run, whether the bad decision is Run's first dispatch or a mid-run Step.
+func TestChooserOutOfRangeSurfacesFromRun(t *testing.T) {
+	for _, badAt := range []int{0, 3} {
+		s := New(1)
+		calls := 0
+		s.SetChooser(chooserFunc(func(caller int, cands []Candidate) int {
+			calls++
+			if calls > badAt {
+				return len(cands)
+			}
+			return MinClock(cands)
+		}))
+		for w := 0; w < 2; w++ {
+			s.Spawn("w", 0, 0, func(th *Thread) {
+				for i := 0; i < 10; i++ {
+					th.Step(1)
+				}
+			})
+		}
+		r := runPanic(s)
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "sim: chooser returned index 2 of 2 candidates") {
+			t.Fatalf("bad decision %d: Run panicked with %v, want the chooser index error", badAt+1, r)
+		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 	"fmt"
 
 	"prepuc/internal/metrics"
-	"prepuc/internal/nvm"
 	"prepuc/internal/numa"
+	"prepuc/internal/nvm"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
